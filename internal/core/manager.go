@@ -43,14 +43,13 @@ type Manager struct {
 	// PeerID, the tick the peer is currently enrolled for (0 = none), so
 	// a peer re-enrolled after a layer change lazily invalidates its old
 	// bucket entry. calProcessed is the last due tick already drained.
-	// The O(N) scan survives as refreshDueScan, the differential oracle
-	// (and the refreshScan test flag forces it).
+	// TestRefreshCalendarMatchesScan checks the calendar against the
+	// full scan it replaced.
 	refreshCal   map[int64][]msg.PeerID
 	refreshTick  []int32
 	calPool      [][]msg.PeerID
 	calDue       []*overlay.Peer
 	calProcessed int64
-	refreshScan  bool
 
 	// mach is the machine arena: one protocol.Machine per slab slot,
 	// stored inline in append-only chunks so the tick's slot-order walks
@@ -413,11 +412,7 @@ func (m *Manager) Tick(n *overlay.Network, now sim.Time) {
 	if m.P.Exchange == Periodic && math.Mod(float64(now), float64(m.P.PeriodicInterval)) == 0 {
 		m.exchangeAll(n)
 	} else if m.P.Exchange == EventDriven && m.P.RefreshInterval > 0 {
-		if m.refreshScan {
-			m.refreshDueScan(n, now)
-		} else {
-			m.refreshDue(n, now)
-		}
+		m.refreshDue(n, now)
 	}
 
 	// Retry or abandon Phase 1 requests whose deadline has passed. This
@@ -650,39 +645,6 @@ func (m *Manager) refreshOne(n *overlay.Network, leaf *overlay.Peer, pnow protoc
 		m.pendingLive = true
 	}
 	m.calEnroll(leaf.ID, m.calKey(lm.RefreshAt()))
-}
-
-// refreshDueScan is the original O(N)-per-tick refresh scan, kept as the
-// calendar's differential oracle (forced by the refreshScan test flag).
-func (m *Manager) refreshDueScan(n *overlay.Network, now sim.Time) {
-	// Direct iteration is safe for the same reason as exchangeAll.
-	pnow := protocol.Time(now)
-	n.WalkPeers(func(leaf *overlay.Peer) {
-		if leaf.Layer != overlay.LayerLeaf {
-			return
-		}
-		lm := m.state(n, leaf)
-		if !lm.RefreshDue(pnow) {
-			return
-		}
-		for _, sid := range leaf.SuperLinks() {
-			super := n.Peer(sid)
-			if super == nil || !super.Alive() {
-				continue
-			}
-			// Deadlines first, frames second — same reentrancy rule as
-			// exchange.
-			lm.Expect(super.ID, msg.KindNeighNumRequest, pnow)
-			lm.Expect(super.ID, msg.KindValueRequest, pnow)
-			frames := protocol.RefreshExchange(leaf.ID, super.ID)
-			for i := range frames {
-				n.Send(frames[i])
-			}
-		}
-		if lm.PendingRequests() > 0 {
-			m.pendingLive = true
-		}
-	})
 }
 
 // expireAll runs the pending-request expiry for every machine with

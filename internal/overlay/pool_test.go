@@ -7,10 +7,11 @@ import (
 	"dlm/internal/sim"
 )
 
-// TestDeliverPoolCapped pins satellite #1 on the overlay side: the
-// per-lane delivery-event pools stop growing at maxDeliverPool, so a
-// burst of in-flight messages does not pin its peak carrier count for
-// the network's whole lifetime.
+// TestDeliverPoolCapped pins the retention cap on the overlay side: the
+// delivery-event pool stops growing at maxDeliverPool, so a burst of
+// in-flight messages does not pin its peak carrier count for the
+// network's whole lifetime. It also pins that a recycled carrier takes
+// the lane it is handed out for, not the lane it last served.
 func TestDeliverPoolCapped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, Config{M: 2, KS: 3, Eta: 10, Latency: 0.5}, nil)
@@ -25,12 +26,21 @@ func TestDeliverPoolCapped(t *testing.T) {
 	for _, d := range carriers {
 		n.putDeliver(d)
 	}
-	if got := len(n.deliverPools[3]); got > maxDeliverPool {
-		t.Errorf("lane pool holds %d carriers after burst, cap is %d", got, maxDeliverPool)
+	if got := len(n.deliverPool); got > maxDeliverPool {
+		t.Errorf("pool holds %d carriers after burst, cap is %d", got, maxDeliverPool)
 	}
 
-	// End-to-end: a latency network with a message burst bounded per lane
-	// after the queue drains.
+	// A carrier taken for lane 3 and put back is reissued for lane 5.
+	d := n.getDeliver(3)
+	n.putDeliver(d)
+	if d2 := n.getDeliver(5); d2 != d {
+		t.Fatal("pool did not reissue the carrier just put back")
+	} else if d2.lane != 5 {
+		t.Errorf("reused carrier reports lane %d, want 5", d2.lane)
+	}
+
+	// End-to-end: a latency network with a message burst leaves the pool
+	// bounded after the queue drains.
 	p := n.Join(10, 100, nil)
 	q := n.Join(10, 100, nil)
 	for i := 0; i < burst; i++ {
@@ -39,9 +49,7 @@ func TestDeliverPoolCapped(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for lane, pool := range n.deliverPools {
-		if len(pool) > maxDeliverPool {
-			t.Errorf("pool %d holds %d carriers after drain, cap is %d", lane, len(pool), maxDeliverPool)
-		}
+	if got := len(n.deliverPool); got > maxDeliverPool {
+		t.Errorf("pool holds %d carriers after drain, cap is %d", got, maxDeliverPool)
 	}
 }

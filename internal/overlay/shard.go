@@ -24,10 +24,11 @@ import "dlm/internal/sim"
 // every machine this simulator plausibly meets) while keeping the
 // per-tick fixed overhead — 64 buffer resets — negligible.
 //
-// The constant is the engine's: since the event plane sharded, a lane is
-// also the unit of event-queue placement (sim.ScheduleLane), and the two
-// partitions must be the same partition — a peer's timers and message
-// deliveries wait on the queue of the lane that owns the peer.
+// The constant is the engine's: a lane is also the tag a peer-targeted
+// event carries (sim.ScheduleLane), and the two partitions must be the
+// same partition — a peer's timers and message deliveries are tagged
+// with the lane that owns the peer, so a same-timestamp batch evaluates
+// each of them on that lane.
 const NumLanes = sim.NumLanes
 
 // LaneOf returns the event-plane lane that owns p: the lane of its slab

@@ -47,18 +47,38 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
+// TestSchedulePastPanics pins ScheduleLane's two preconditions: no
+// scheduling before now, and a lane tag in [0, GlobalLane]. The range
+// check is all that keeps a bad tag from indexing the batch path's
+// per-lane buckets out of range.
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(10, EventFunc(func(*Engine) {}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(5, EventFunc(func(*Engine) {}))
+	cases := []struct {
+		name string
+		lane int
+		at   Time
+	}{
+		{"past", GlobalLane, 5},
+		{"lane -1", -1, 20},
+		{"lane NumLanes+1", NumLanes + 1, 20},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ScheduleLane(%d, %v) did not panic", c.name, c.lane, c.at)
+				}
+			}()
+			e.ScheduleLane(c.lane, c.at, EventFunc(func(*Engine) {}))
+		}()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("rejected schedules left %d events queued", e.Pending())
+	}
 }
 
 func TestCancel(t *testing.T) {

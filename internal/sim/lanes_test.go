@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// The lane-sharded event plane's contract: lane placement decides which
-// queue an event waits in, never when it fires. These tests pin that
-// contract directly against the single-queue reference, exercise the
-// tie-break across lanes, the same-timestamp batch path, and the
-// free-list retention cap.
+// The event plane's lane contract: an event's lane tag decides whether it
+// can join a same-timestamp batch and where that batch evaluates it,
+// never when it fires. These tests pin that contract directly against
+// the all-global reference, exercise the tie-break across lanes, the
+// same-timestamp batch path, and the free-list retention cap.
 
 // laneScript is a pregenerated randomized workload: initial events plus,
 // per event, the children it schedules and the events it cancels when it
 // fires. The script is lane-annotated but lane-agnostic in meaning — the
-// oracle runs it twice, once with every event on the global queue and
-// once spread across lanes, and demands identical firing order.
+// oracle runs it twice, once with every event on GlobalLane and once
+// spread across lanes, and demands identical firing order.
 type laneScript struct {
 	initial  []scriptEvent
 	children map[int][]scriptEvent // fired id -> events it schedules
@@ -40,7 +40,7 @@ func makeLaneScript(seed int64, initial, maxID int) *laneScript {
 			id: next,
 			// Coarse times force heavy ties; fine times exercise ordering.
 			at:   Duration(float64(rng.Intn(50)) + float64(rng.Intn(4))*0.25),
-			lane: rng.Intn(numQueues), // includes GlobalLane
+			lane: rng.Intn(GlobalLane + 1), // includes GlobalLane
 		}
 		next++
 		return ev
@@ -62,8 +62,8 @@ func makeLaneScript(seed int64, initial, maxID int) *laneScript {
 }
 
 // run executes the script and returns the fired-id order. useLanes
-// selects the lane annotations; false forces everything onto the global
-// queue — the pre-sharding single-heap reference.
+// selects the lane annotations; false tags everything GlobalLane — the
+// reference in which no event is lane-eligible.
 func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 	t.Helper()
 	e := NewEngine(9)
@@ -102,8 +102,8 @@ func (s *laneScript) run(t *testing.T, useLanes bool) []int {
 
 // TestLaneShardingOracle is the randomized-interleaving oracle: a scripted
 // workload with ties, dynamic scheduling and cancellations must fire in
-// exactly the same order whether every event sits in the single global
-// queue or is spread across all 65 queues. The engine-global insertion
+// exactly the same order whether every event is tagged GlobalLane or the
+// events are spread across all 65 lane tags. The engine-global insertion
 // sequence is what makes this hold; a per-lane sequence would break ties
 // differently the moment two lanes interleave.
 func TestLaneShardingOracle(t *testing.T) {
@@ -126,16 +126,16 @@ func TestLaneShardingOracle(t *testing.T) {
 	}
 }
 
-// TestCrossLaneTieBreakIsFIFO pins the tie-break across queues: events
+// TestCrossLaneTieBreakIsFIFO pins the tie-break across lanes: events
 // scheduled at one timestamp on rotating lanes fire in scheduling order,
-// exactly as the single-queue FIFO tie-break test (engine_test.go) pins
-// it for one queue.
+// exactly as the FIFO tie-break test (engine_test.go) pins it for
+// GlobalLane alone.
 func TestCrossLaneTieBreakIsFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
 	for i := 0; i < 3*NumLanes; i++ {
 		i := i
-		e.ScheduleLane((i*7)%numQueues, 5, EventFunc(func(*Engine) { order = append(order, i) }))
+		e.ScheduleLane((i*7)%(GlobalLane+1), 5, EventFunc(func(*Engine) { order = append(order, i) }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -150,14 +150,11 @@ func TestCrossLaneTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
-// TestMergeTreeLeafClearedOnDrain is the regression test for a stale
-// tournament leaf: drain two lanes down to one, run past them, then wake
-// two fresh lanes. An emptied queue's leaf that survives the 2→1
-// transition holds a just-popped global minimum — (time, seq) keys only
-// grow — so the next tournament would steer min() to an empty queue and
-// Step would index items[0] out of range. The fix is the headChanged
-// invariant: while active < 2 every leaf reads emptyAt.
-func TestMergeTreeLeafClearedOnDrain(t *testing.T) {
+// TestDrainThenWakeAcrossLanes drains the queue completely while lanes
+// take turns, then schedules on two fresh lanes: the woken events must
+// fire and nothing may stay behind. It pins that draining leaves no
+// stale ordering state that would misdirect the next pop.
+func TestDrainThenWakeAcrossLanes(t *testing.T) {
 	e := NewEngine(1)
 	ev := EventFunc(func(*Engine) {})
 	e.ScheduleLane(1, 1, ev)
@@ -213,9 +210,9 @@ func TestLaneBatchEvalCommit(t *testing.T) {
 		wantLane[i] = lane
 		e.ScheduleLane(lane, 2, &batchProbe{id: i, rec: rec})
 	}
-	// Same timestamp, global queue: must not join the batch.
+	// Same timestamp, GlobalLane: must not join the batch.
 	e.Schedule(2, EventFunc(func(*Engine) { rec.serialFire = append(rec.serialFire, -1) }))
-	// Same timestamp, lane queue, not batchable: fires serially.
+	// Same timestamp, peer lane, not batchable: fires serially.
 	e.ScheduleLane(3, 2, &batchProbe{id: n, rec: rec, solo: true})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -278,9 +275,9 @@ func TestShardCountInvariantForBatches(t *testing.T) {
 	}
 }
 
-// TestFreeListCapped pins satellite #1: a burst leaves at most
-// maxFreeItems recycled items per queue behind — including the burst
-// Engine.Reset releases wholesale — instead of pinning its peak forever.
+// TestFreeListCapped pins the retention cap: a burst leaves at most
+// maxFreeItems recycled items behind — including the burst Engine.Reset
+// releases wholesale — instead of pinning its peak forever.
 func TestFreeListCapped(t *testing.T) {
 	e := NewEngine(1)
 	ev := EventFunc(func(*Engine) {})
@@ -291,8 +288,8 @@ func TestFreeListCapped(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.lanes[5].free); got > maxFreeItems {
-		t.Errorf("lane free-list holds %d items after burst, cap is %d", got, maxFreeItems)
+	if got := len(e.queue.free); got > maxFreeItems {
+		t.Errorf("free-list holds %d items after burst, cap is %d", got, maxFreeItems)
 	}
 
 	// Reset with a deep pending queue: the wholesale release honors the cap.
@@ -300,10 +297,8 @@ func TestFreeListCapped(t *testing.T) {
 		e.ScheduleLane(7, Time(1e6+float64(i)), ev)
 	}
 	e.Reset(1)
-	for i := range e.lanes {
-		if got := len(e.lanes[i].free); got > maxFreeItems {
-			t.Errorf("queue %d free-list holds %d items after Reset, cap is %d", i, got, maxFreeItems)
-		}
+	if got := len(e.queue.free); got > maxFreeItems {
+		t.Errorf("free-list holds %d items after Reset, cap is %d", got, maxFreeItems)
 	}
 	// The cap must not break steady-state reuse: warm pairs still recycle.
 	var loop Event

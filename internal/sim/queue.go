@@ -14,14 +14,13 @@ type EventFunc func(e *Engine)
 func (f EventFunc) Fire(e *Engine) { f(e) }
 
 // Handle identifies a scheduled event and allows cancellation. Items are
-// recycled through a per-queue free-list once they fire or are cancelled,
+// recycled through the queue's free-list once they fire or are cancelled,
 // so the handle carries the generation it was issued under; a stale handle
 // (its item since recycled) is recognized and ignored.
 type Handle struct {
 	item *item
 	gen  uint32
 	e    *Engine
-	lane int32
 }
 
 // Cancel removes the scheduled event from the queue immediately and
@@ -32,10 +31,9 @@ func (h Handle) Cancel() bool {
 	if h.item == nil || h.item.gen != h.gen {
 		return false
 	}
-	q := &h.e.lanes[h.lane]
+	q := &h.e.queue
 	q.remove(h.item)
 	q.release(h.item)
-	h.e.headChanged(h.lane, len(q.items) == 0)
 	return true
 }
 
@@ -53,9 +51,14 @@ type item struct {
 	gen uint32
 	// pos is the item's current index in the heap; -1 when not queued.
 	pos int32
+	// lane is the lane the event was scheduled on (GlobalLane for events
+	// with no target peer). It never affects firing order; it only
+	// decides whether the event counts as a lane firing and which lane a
+	// batched LaneEvent evaluates on.
+	lane int32
 }
 
-// maxFreeItems caps each queue's item free-list. Without a cap the
+// maxFreeItems caps the queue's item free-list. Without a cap the
 // free-list retains burst-peak capacity forever — and across Engine.Reset,
 // which releases every still-pending item into it — so one 1M-event growth
 // wave would pin ~1M recycled items for the engine's whole lifetime. The
@@ -79,10 +82,10 @@ type heapKey struct {
 // their heap position, so cancellation removes them in O(log n) instead of
 // leaving dead entries to ride the heap, and released items return to a
 // free-list for reuse (steady-state scheduling does not allocate). The
-// insertion sequence is stamped by the engine from a single counter shared
-// by all lanes, so the merged pop order across queues is identical to what
-// one global heap would produce. keys[i] duplicates items[i]'s (at, seq);
-// every sift keeps the two arrays in lockstep.
+// insertion sequence is stamped by the engine from one counter, so ties
+// at one timestamp pop in scheduling order whatever lane an event is
+// tagged with. keys[i] duplicates items[i]'s (at, seq); every sift keeps
+// the two arrays in lockstep.
 type eventQueue struct {
 	keys  []heapKey
 	items []*item

@@ -9,8 +9,9 @@ import (
 // Intra-run parallelism. The engine itself stays a single-threaded
 // discrete-event loop (see the Engine type comment); what this file adds
 // is the *fan-out primitive* that lets one event — in practice the
-// per-tick maintenance of a million-peer overlay — spread peer-local
-// work across CPUs and rejoin before the event returns. Determinism is
+// per-tick maintenance of a million-peer overlay, or the evaluate half
+// of a same-timestamp LaneEvent batch — spread peer-local work across
+// CPUs and rejoin before the event returns. Determinism is
 // preserved by a fixed-lane discipline: work is partitioned into a
 // constant number of lanes that is independent of the worker count, each
 // lane owns its own random stream and result buffer, and the caller

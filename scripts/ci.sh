@@ -33,6 +33,9 @@ lane_test() {
     fi
   done
   go test ./...
+  # perfbench is a nested module, so ./... above skips it; vet and test it
+  # here so an internal API change cannot silently break the benchmark.
+  (cd perfbench && go vet . && go test .)
 }
 
 lane_race() {
@@ -46,8 +49,9 @@ lane_race() {
   # batches drive the sharded event plane's eval fan-out.
   go test -race -run 'ShardInvariance|CrossPlaneEquivalence|AggregatesMatchScan' \
     ./internal/core ./internal/experiments ./internal/live ./internal/overlay
-  # Engine-level event-plane concurrency: the batch eval/commit contract
-  # and the shard-count invariance of the lane merge, under -race.
+  # Engine-level event-plane concurrency: the batch eval/commit contract,
+  # its shard-count invariance, and the lane-tag ordering oracle, under
+  # -race.
   go test -race -run 'LaneBatchEvalCommit|ShardCountInvariantForBatches|LaneShardingOracle' \
     ./internal/sim
 }
